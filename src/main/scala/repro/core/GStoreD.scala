@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.part.DistributedGraph
+import scala.jdk.CollectionConverters._
 
 /** Optimization levels matching the §VIII-C ablation:
   * `Basic` = VLDBJ'16 framework (no LEC, no candidate exchange);
@@ -47,6 +48,8 @@ final case class QueryResult(matches: DataFrame, stats: Stats)
   * evaluation on Spark (one task group per fragment ≙ one site), LEC
   * shipping/pruning and assembly at the coordinator (the driver), star
   * queries short-circuited to a pure Catalyst join plan per §VIII-B.
+  * Signature scans (all-attribute queries, off-core existence checks) run
+  * the per-site kernel of Alg. 4, `CandidateExchange.internalMatches`.
   */
 object GStoreD {
 
@@ -54,15 +57,12 @@ object GStoreD {
       dg: DistributedGraph,
       query: QueryGraph,
       opt: OptLevel = OptLevel.Full,
-      bitLen: Int = 1 << 14,
-      maxPMs: Int = 5_000_000,
       basicBudget: Long = 20_000_000L,
   ): QueryResult = {
-    val spark = dg.spark
-    val vars = query.variables
-    val schema = StructType(vars.map(v => StructField(v, LongType, nullable = false)))
-    def emptyResult(stats: Stats): QueryResult =
-      QueryResult(spark.createDataFrame(spark.sparkContext.emptyRDD[Row], schema), stats)
+    val schema = StructType(query.variables.map(v => StructField(v, LongType, nullable = false)))
+    def localResult(rows: Seq[Row], stats: Stats): QueryResult =
+      QueryResult(dg.spark.createDataFrame(rows.asJava, schema), stats)
+    def emptyResult(stats: Stats): QueryResult = localResult(Nil, stats)
 
     val dict = dg.graph.dict
     val folded = query.fold(dg.attrPreds)
@@ -85,19 +85,14 @@ object GStoreD {
         require(cons.size == 1, s"unsupported all-attribute query over ${cons.size} subjects")
         val t0 = System.nanoTime()
         val (term, cs) = cons.head
-        val df = scanEval(dg, term, cs) match {
-          case Some(d) =>
-            term match {
-              case Term.Var(n) => d.withColumnRenamed("__c", n).select(vars.map(col): _*)
-              case Term.Const(_) => // boolean query: non-empty scan, no variables
-                d.limit(1).drop("__c")
-            }
-          case None => return emptyResult(Stats(starFastPath = true))
+        val ids = CandidateExchange.scan(dg, cs.map(CandidateExchange.Req.attribute))
+        val rows = term match {
+          case Term.Var(_)   => ids.toSeq.map(Row(_))
+          case Term.Const(u) => // boolean query: non-empty scan, no variables
+            if (dict.idOpt(u).exists(ids)) Seq(Row()) else Nil
         }
-        val cached = df.distinct().cache()
-        val n = cached.count()
-        QueryResult(cached, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000,
-          numMatches = n, starFastPath = true))
+        localResult(rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000,
+          numMatches = rows.size, starFastPath = true))
 
       case Some(core) =>
         // constraints on terms outside the core: only constant subjects are
@@ -106,7 +101,8 @@ object GStoreD {
         offCore.foreach {
           case (Term.Const(u), cs) =>
             val sid = dict.idOpt(u).getOrElse(return emptyResult(Stats(starFastPath = true)))
-            if (scanExistence(dg, sid, cs).isEmpty) return emptyResult(Stats(starFastPath = true))
+            if (!CandidateExchange.scan(dg, cs.map(CandidateExchange.Req.attribute)).contains(sid))
+              return emptyResult(Stats(starFastPath = true))
           case (Term.Var(n), _) =>
             throw new UnsupportedOperationException(
               s"constraint on variable ?$n disconnected from the entity core")
@@ -117,35 +113,9 @@ object GStoreD {
             val consByIdx = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs }
             val q = q0.copy(constraints = consByIdx)
             if (core.isStar) evaluateStar(dg, query, core, q)
-            else evaluateGeneral(dg, query, core, q, opt, bitLen, maxPMs, basicBudget)
+            else evaluateGeneral(dg, query, core, q, opt, basicBudget)
         }
     }
-  }
-
-  /** Internal vertices carrying all attribute edges `(p, o)` in `cs`:
-    * DataFrame with column `__c`. `None` when a filter id is absent.
-    */
-  private def scanEval(dg: DistributedGraph, term: Term, cs: Seq[(Long, Long)]): Option[DataFrame] = {
-    import dg.spark.implicits._
-    val dict = dg.graph.dict
-    val base = cs.map { case (p, o) =>
-      dg.fragTriples.toDF()
-        .filter($"p" === p && $"o" === o && $"sFrag" === $"frag")
-        .select($"s".as("__c"))
-    }.reduce((a, b) => a.join(b, Seq("__c")))
-    term match {
-      case Term.Const(u) =>
-        dict.idOpt(u).map(id => base.filter($"__c" === id))
-      case Term.Var(_) => Some(base)
-    }
-  }
-
-  private def scanExistence(dg: DistributedGraph, sid: Long, cs: Seq[(Long, Long)]): Option[Unit] = {
-    import dg.spark.implicits._
-    val ok = cs.forall { case (p, o) =>
-      !dg.fragTriples.filter($"s" === sid && $"p" === p && $"o" === o).isEmpty
-    }
-    if (ok) Some(()) else None
   }
 
   /** §VIII-B star fast path: crossing edges are replicated, so every match
@@ -222,8 +192,6 @@ object GStoreD {
       core: QueryGraph,
       q: EncodedQuery,
       opt: OptLevel,
-      bitLen: Int,
-      maxPMs: Int,
       basicBudget: Long,
   ): QueryResult = {
     val spark = dg.spark
@@ -231,7 +199,7 @@ object GStoreD {
 
     // -- stage 1: assembling variables' internal candidates (Full only) ----
     val cand =
-      if (opt == OptLevel.Full) CandidateExchange.run(dg, q, bitLen)
+      if (opt == OptLevel.Full) CandidateExchange.run(dg, q)
       else CandidateExchange.Result(CandidateBits.empty, 0L, 0L)
 
     // -- stage 2: local partial match computation (one task per fragment) --
@@ -239,7 +207,7 @@ object GStoreD {
     val bits = cand.bits
     val all = dg.fragTriples
       .groupByKey(_.frag)
-      .flatMapGroups((f, it) => LocalMatcher.run(f, it, q, bits, maxPMs))
+      .flatMapGroups((f, it) => LocalMatcher.run(f, it, q, bits))
       .cache()
     val full = q.fullMask
     val completeLocal = all.filter(pm => pm.sign == full && pm.cross.isEmpty)
@@ -253,7 +221,6 @@ object GStoreD {
     var features: IndexedSeq[LecFeature] = IndexedSeq.empty
     var combos: LecPruning.Combos = null
     var keptDs = lpmDs
-    var numKept = numLpms
 
     def collectFeatures(): IndexedSeq[LecFeature] =
       lpmDs.map(LecFeature.of).distinct().collect().toIndexedSeq
@@ -267,8 +234,7 @@ object GStoreD {
       combos = LecPruning.combos(q, features)
       val surviving: Set[LecFeature] = combos.surviving.map(features)
       val survB = spark.sparkContext.broadcast(surviving)
-      keptDs = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm))).cache()
-      numKept = keptDs.count()
+      keptDs = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm)))
       lecTimeMs = (System.nanoTime() - t2) / 1000000
     }
 
@@ -311,7 +277,7 @@ object GStoreD {
         lecShipmentBytes = lecShipment,
         assemblyTimeMs = assemblyTimeMs,
         numLpms = numLpms,
-        numLpmsKept = numKept,
+        numLpmsKept = collected.size,
         numFeatures = features.size,
         numMatches = allMatches.size,
         numCrossingMatches = crossDistinct.size,

@@ -119,6 +119,28 @@ class GStoreDSpec extends SparkSpec {
     assert(res.matches.count() == 0)
   }
 
+  // a constant-subject attribute pattern folds off the core into an
+  // existence check; person42's name is lit 42, not lit 43
+  for ((lit, rows) <- Seq(42 -> 150, 43 -> 0)) {
+    test(s"off-core existence check with <lit $lit> matches the DuckDB oracle") {
+      import repro.rdf.BtcData._
+      val w = workloads.last
+      val q = QueryGraph.of(s"?d $creator ?p", s"${person(42)} $fname ${nameLit(lit)}")
+      val res = GStoreD.evaluate(dgsFolded(w.name), q)
+      Oracle.assertEquivalent(res.matches, BgpSql.sql(q, w.graph.dict).get, "triples" -> w.graph.df(spark))
+      assert(res.matches.count() == rows)
+    }
+  }
+
+  test("a constant-subject all-attribute query is a boolean signature scan") {
+    import repro.rdf.BtcData._
+    val dg = dgsFolded(workloads.last.name)
+    for ((lit, rows) <- Seq(42 -> 1, 43 -> 0)) {
+      val res = GStoreD.evaluate(dg, QueryGraph.of(s"${person(42)} $fname ${nameLit(lit)}"))
+      assert(res.matches.columns.isEmpty && res.matches.count() == rows && res.stats.numMatches == rows)
+    }
+  }
+
   test("LQ3 is empty but exercises the full pipeline") {
     val w = workloads.head
     val (_, q, _) = w.queries.find(_._1 == "LQ3").get

@@ -10,9 +10,17 @@ import scala.util.Random
   */
 object TestGraphs {
 
-  def fragmentsOf(g: RdfGraph, owners: Map[Long, Int]): Map[Int, Vector[FragTriple]] = {
+  /** Edges with a predicate in `attrPreds` are stored with the subject only,
+    * their `oFrag` set to the subject's fragment, as in an attribute-folded
+    * `DistributedGraph`.
+    */
+  def fragmentsOf(
+      g: RdfGraph,
+      owners: Map[Long, Int],
+      attrPreds: Set[Long] = Set.empty,
+  ): Map[Int, Vector[FragTriple]] = {
     val rows = g.triples.flatMap { case (s, p, o) =>
-      val sf = owners(s); val of = owners(o)
+      val sf = owners(s); val of = if (attrPreds(p)) sf else owners(o)
       val hosts = if (sf == of) Seq(sf) else Seq(sf, of)
       hosts.map(f => FragTriple(f, s, p, o, sf, of))
     }
