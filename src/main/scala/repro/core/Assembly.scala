@@ -38,7 +38,7 @@ object Assembly {
       combos: LecPruning.Combos,
   ): (Vector[Vector[Long]], Stats) = {
     val featId = features.zipWithIndex.toMap
-    val byFeature = pms.groupBy(pm => featId(LecFeature.of(pm)))
+    val byFeature = pms.groupBy(pm => featId(LecFeature.of(pm))).withDefaultValue(IndexedSeq.empty)
     var pairTests = 0L
     val matches = Vector.newBuilder[Vector[Long]]
     var nMatches = 0
@@ -56,8 +56,9 @@ object Assembly {
     }
 
     combos.complete.foreach { combo =>
-      // smallest buckets first keeps intermediate products minimal
-      val buckets = combo.map(f => byFeature.getOrElse(f, IndexedSeq.empty)).sortBy(_.size)
+      // smallest buckets first keeps intermediate products minimal; ties go
+      // by feature, so the join order does not depend on `features`' order
+      val buckets = combo.sortBy(f => (byFeature(f).size, features(f))).map(byFeature)
       if (buckets.forall(_.nonEmpty)) {
         var items: Vector[Array[Long]] = buckets.head.iterator.map(_.bind.toArray).toVector
         buckets.tail.foreach { bucket =>

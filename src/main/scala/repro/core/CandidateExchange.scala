@@ -12,12 +12,13 @@ import repro.part.{DistributedGraph, FragTriple}
   * and [[internalMatches]] is the pure-Scala kernel that applies them to one
   * fragment; `GStoreD`'s signature scans run the same kernel via [[scan]].
   *
-  * [[run]] is one Spark job: every site hashes its candidates into one
-  * fixed-length bit vector per variable, the coordinator ORs them and
-  * broadcasts the result; `LocalMatcher` then drops bindings whose bit is
-  * unset. Shipment is metered as the smaller of the dense vector and the
-  * sparse id list per (site, variable) — plus the fixed-length broadcast
-  * back — which is why selective queries ship far less (as in Table I).
+  * [[run]] is one round of `DistributedGraph.perSite`: every site hashes its
+  * candidates into one fixed-length bit vector per variable, the
+  * coordinator ORs them and broadcasts the result; `LocalMatcher` then
+  * drops bindings whose bit is unset. Shipment is metered as the smaller of
+  * the dense vector and the sparse id list per (site, variable) — plus the
+  * fixed-length broadcast back — which is why selective queries ship far
+  * less (as in Table I).
   */
 object CandidateExchange {
 
@@ -53,18 +54,21 @@ object CandidateExchange {
       .reduce(_ intersect _)
   }
 
-  /** Per variable vertex of `q`: one requirement per (incident edge, side at
-    * which the vertex occurs), plus one per folded attribute constraint.
+  /** Vertex `v` of `q`: one requirement per (incident edge, side at which
+    * the vertex occurs), plus one per folded attribute constraint.
     */
-  def requirements(q: EncodedQuery): Seq[(Int, Seq[Req])] =
-    (0 until q.n).filter(q.vertices(_).isVar).map { v =>
-      val edgeReqs = q.incident(v).flatMap { e =>
-        // a variable endpoint has constId -1, so only constants restrict
-        def req(out: Boolean) = Req(e.predId, out, q.vertices(if (out) e.dst else e.src).constId)
-        (if (e.src == v) Seq(req(true)) else Nil) ++ (if (e.dst == v) Seq(req(false)) else Nil)
-      }
-      v -> (edgeReqs ++ q.constraints.getOrElse(v, Nil).map(Req.attribute))
+  def vertexReqs(q: EncodedQuery, v: Int): Seq[Req] = {
+    val edgeReqs = q.incident(v).flatMap { e =>
+      // a variable endpoint has constId -1, so only constants restrict
+      def req(out: Boolean) = Req(e.predId, out, q.vertices(if (out) e.dst else e.src).constId)
+      (if (e.src == v) Seq(req(true)) else Nil) ++ (if (e.dst == v) Seq(req(false)) else Nil)
     }
+    edgeReqs ++ q.constraints.getOrElse(v, Nil).map(Req.attribute)
+  }
+
+  /** [[vertexReqs]] of every variable vertex of `q`. */
+  def requirements(q: EncodedQuery): Seq[(Int, Seq[Req])] =
+    (0 until q.n).filter(q.vertices(_).isVar).map(v => v -> vertexReqs(q, v))
 
   /** One site's upload for variable `v`: candidate count and hashed vector. */
   final case class SiteVector(v: Int, count: Int, words: Array[Long])
@@ -90,23 +94,13 @@ object CandidateExchange {
 
   def run(dg: DistributedGraph, q: EncodedQuery, len: Int = 1 << 14): Result = {
     val t0 = System.nanoTime()
-    import dg.spark.implicits._
     val reqs = requirements(q)
-    val uploads = dg.fragTriples
-      .groupByKey(_.frag)
-      .flatMapGroups((f, it) => siteVectors(f, it.toVector, reqs, len))
-      .collect()
+    val uploads = dg.perSite((f, ts) => siteVectors(f, ts, reqs, len)).collect().flatten
     val (bits, shipment) = combine(dg.k, len, reqs.map(_._1), uploads.toSeq)
     Result(bits, shipment, (System.nanoTime() - t0) / 1000000)
   }
 
   /** The exact ids of every site's [[internalMatches]]: one Spark job. */
-  def scan(dg: DistributedGraph, reqs: Seq[Req]): Set[Long] = {
-    import dg.spark.implicits._
-    dg.fragTriples
-      .groupByKey(_.frag)
-      .flatMapGroups((f, it) => internalMatches(f, it.toVector, reqs))
-      .collect()
-      .toSet
-  }
+  def scan(dg: DistributedGraph, reqs: Seq[Req]): Set[Long] =
+    dg.perSite((f, ts) => internalMatches(f, ts, reqs)).collect().flatten.toSet
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.part.DistributedGraph
 import scala.jdk.CollectionConverters._
@@ -44,12 +43,15 @@ final case class Stats(
 
 final case class QueryResult(matches: DataFrame, stats: Stats)
 
-/** The distributed engine: gStore-style attribute folding, partial
-  * evaluation on Spark (one task group per fragment ≙ one site), LEC
-  * shipping/pruning and assembly at the coordinator (the driver), star
-  * queries short-circuited to a pure Catalyst join plan per §VIII-B.
-  * Signature scans (all-attribute queries, off-core existence checks) run
-  * the per-site kernel of Alg. 4, `CandidateExchange.internalMatches`.
+/** The distributed engine: gStore-style attribute folding, then every query
+  * as pure-Scala work at each site (`DistributedGraph.perSite`, one Spark
+  * job per round) plus steps at the coordinator (the driver). A star query
+  * is one round of [[StarMatcher]] (§VIII-B); any other query is partial
+  * evaluation — candidates (Alg. 4), LPMs and LEC features, pruning
+  * (Alg. 2), a fetch of the surviving LPMs and assembly (Alg. 3). Signature
+  * scans (all-attribute queries, off-core existence checks) run the per-site
+  * kernel of Alg. 4, `CandidateExchange.internalMatches`. Every result is a
+  * local `DataFrame` of rows already at the driver.
   */
 object GStoreD {
 
@@ -59,10 +61,11 @@ object GStoreD {
       opt: OptLevel = OptLevel.Full,
       basicBudget: Long = 20_000_000L,
   ): QueryResult = {
-    val schema = StructType(query.variables.map(v => StructField(v, LongType, nullable = false)))
-    def localResult(rows: Seq[Row], stats: Stats): QueryResult =
-      QueryResult(dg.spark.createDataFrame(rows.asJava, schema), stats)
-    def emptyResult(stats: Stats): QueryResult = localResult(Nil, stats)
+    def result(vars: Seq[String], rows: Seq[Seq[Long]], stats: Stats): QueryResult = {
+      val schema = StructType(vars.map(v => StructField(v, LongType, nullable = false)))
+      QueryResult(dg.spark.createDataFrame(rows.map(Row.fromSeq).asJava, schema), stats)
+    }
+    def emptyResult(stats: Stats): QueryResult = result(query.variables, Nil, stats)
 
     val dict = dg.graph.dict
     val folded = query.fold(dg.attrPreds)
@@ -87,14 +90,19 @@ object GStoreD {
         val (term, cs) = cons.head
         val ids = CandidateExchange.scan(dg, cs.map(CandidateExchange.Req.attribute))
         val rows = term match {
-          case Term.Var(_)   => ids.toSeq.map(Row(_))
+          case Term.Var(_)   => ids.toSeq.map(Seq(_))
           case Term.Const(u) => // boolean query: non-empty scan, no variables
-            if (dict.idOpt(u).exists(ids)) Seq(Row()) else Nil
+            if (dict.idOpt(u).exists(ids)) Seq(Nil) else Nil
         }
-        localResult(rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000,
+        result(query.variables, rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000,
           numMatches = rows.size, starFastPath = true))
 
       case Some(core) =>
+        val q0 = core.encode(dict).getOrElse(return emptyResult(Stats()))
+        // no I-core spans two components, so a match could never assemble
+        if (!q0.isConnected(q0.fullMask))
+          throw new UnsupportedOperationException(
+            s"entity core ${core.patterns.mkString(" . ")} is not connected")
         // constraints on terms outside the core: only constant subjects are
         // supported (a pure existence pre-check)
         val (onCore, offCore) = cons.partition { case (t, _) => core.vertexTerms.contains(t) }
@@ -107,183 +115,97 @@ object GStoreD {
             throw new UnsupportedOperationException(
               s"constraint on variable ?$n disconnected from the entity core")
         }
-        core.encode(dict) match {
-          case None => emptyResult(Stats())
-          case Some(q0) =>
-            val consByIdx = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs }
-            val q = q0.copy(constraints = consByIdx)
-            if (core.isStar) evaluateStar(dg, query, core, q)
-            else evaluateGeneral(dg, query, core, q, opt, basicBudget)
+        val q = q0.copy(constraints = onCore.map { case (t, cs) => core.vertexTerms.indexOf(t) -> cs })
+        val (rows, stats) = core.starCenter match {
+          case Some(center) => star(dg, q, center)
+          case None         => general(dg, q, opt, basicBudget)
         }
+        // core.variables == query.variables up to order (folding drops no variables)
+        result(core.variables, rows, stats)
     }
   }
 
-  /** §VIII-B star fast path: crossing edges are replicated, so every match
-    * of a star query lies wholly in the center's owner fragment; evaluation
-    * is a Catalyst join pipeline with no communication and no LPMs.
-    * Center constraints filter per fragment; leaf-variable constraints join
-    * on the value (their attribute edges live at the leaf's owner).
-    */
-  private[core] def starEval(
-      dg: DistributedGraph,
-      core: QueryGraph,
-      q: EncodedQuery,
-  ): DataFrame = {
-    import dg.spark.implicits._
-    val center = core.starCenter.get
-    val centerTerm = core.vertexTerms(center)
+  /** A match's values of the variables of `q`, in vertex order. */
+  private def project(q: EncodedQuery)(m: Seq[Long]): Vector[Long] =
+    (0 until q.n).iterator.filter(q.vertices(_).isVar).map(m).toVector
 
-    val parts = q.edges.map { e =>
-      var df = dg.fragTriples.toDF()
-      if (e.predId >= 0) df = df.filter($"p" === e.predId)
-      val centerIsSrc = e.src == center
-      df =
-        if (centerIsSrc) df.filter($"sFrag" === $"frag")
-        else df.filter($"oFrag" === $"frag")
-      val cq = q.vertices(center)
-      if (!cq.isVar) df = df.filter((if (centerIsSrc) $"s" else $"o") === cq.constId)
-      if (e.src == e.dst) df = df.filter($"s" === $"o") // self-loop pattern
-      val otherIdx = if (centerIsSrc) e.dst else e.src
-      val cols = Seq($"frag", (if (centerIsSrc) $"s" else $"o").as("__c"))
-      if (otherIdx == center) df.select(cols: _*)
-      else {
-        val oq = q.vertices(otherIdx)
-        val oCol = if (centerIsSrc) $"o" else $"s"
-        if (oq.isVar) df.select(cols :+ oCol.as(oq.varName): _*)
-        else df.filter(oCol === oq.constId).select(cols: _*)
-      }
-    }
-    val consParts = q.constraints.toSeq.flatMap { case (vIdx, cs) =>
-      cs.map { case (p, o) =>
-        val base = dg.fragTriples.toDF()
-          .filter($"p" === p && $"o" === o && $"sFrag" === $"frag")
-        if (vIdx == center) base.select($"frag", $"s".as("__c")).distinct()
-        else base.select($"s".as(q.vertices(vIdx).varName)).distinct()
-      }
-    }
-    val joined = (parts ++ consParts).reduce { (a, b) =>
-      a.join(b, a.columns.intersect(b.columns).toSeq)
-    }
-    val selectCols = core.variables.map { v =>
-      centerTerm match {
-        case Term.Var(n) if n == v => col("__c").as(v)
-        case _                     => col(v)
-      }
-    }
-    joined.select(selectCols: _*).distinct()
-  }
-
-  private def evaluateStar(
-      dg: DistributedGraph,
-      query: QueryGraph,
-      core: QueryGraph,
-      q: EncodedQuery,
-  ): QueryResult = {
+  /** §VIII-B: one round of [[StarMatcher]], no LPMs, no communication. */
+  private def star(dg: DistributedGraph, q: EncodedQuery, center: Int): (Seq[Vector[Long]], Stats) = {
     val t0 = System.nanoTime()
-    val df = starEval(dg, core, q).cache()
-    val n = df.count()
-    val ms = (System.nanoTime() - t0) / 1000000
-    QueryResult(df, Stats(lpmTimeMs = ms, numMatches = n, starFastPath = true))
+    val sites = dg.perSite((f, ts) => StarMatcher.site(f, ts, q, center)).collect()
+    val rows = StarMatcher.combine(sites.toSeq).map(project(q))
+    (rows, Stats(lpmTimeMs = (System.nanoTime() - t0) / 1000000, numMatches = rows.size, starFastPath = true))
   }
 
-  private def evaluateGeneral(
+  /** Partial evaluation in at most three rounds of per-site work. The
+    * optimization level switches on the paper's accelerations one by one.
+    */
+  private def general(
       dg: DistributedGraph,
-      query: QueryGraph,
-      core: QueryGraph,
       q: EncodedQuery,
       opt: OptLevel,
       basicBudget: Long,
-  ): QueryResult = {
-    val spark = dg.spark
-    import spark.implicits._
+  ): (Seq[Vector[Long]], Stats) = {
+    val candidates = opt == OptLevel.Full // Alg. 4
+    val prune = candidates || opt == OptLevel.LO // Alg. 2
+    val lecAssembly = opt != OptLevel.Basic // Alg. 3
 
-    // -- stage 1: assembling variables' internal candidates (Full only) ----
+    // round 1: variables' internal candidates
     val cand =
-      if (opt == OptLevel.Full) CandidateExchange.run(dg, q)
+      if (candidates) CandidateExchange.run(dg, q)
       else CandidateExchange.Result(CandidateBits.empty, 0L, 0L)
 
-    // -- stage 2: local partial match computation (one task per fragment) --
+    // round 2: the LPMs stay at their sites; each site reports its LPM count,
+    // its complete local matches and its distinct features (a feature
+    // carries its fragment, so they are distinct globally too)
     val t1 = System.nanoTime()
-    val bits = cand.bits
-    val all = dg.fragTriples
-      .groupByKey(_.frag)
-      .flatMapGroups((f, it) => LocalMatcher.run(f, it, q, bits))
-      .cache()
-    val full = q.fullMask
-    val completeLocal = all.filter(pm => pm.sign == full && pm.cross.isEmpty)
-    val lpmDs = all.filter(pm => !(pm.sign == full && pm.cross.isEmpty))
-    val numLpms = lpmDs.count()
+    val sites = dg.perSite((f, ts) =>
+      LocalMatcher.run(f, ts.iterator, q, cand.bits).partition(!_.isCompleteLocal(q.fullMask))).persist()
+    val (lpmCounts, locals, siteFeatures) = sites
+      .map { case (lpms, local) => (lpms.size, local.map(_.bind), lpms.map(LecFeature.of).distinct) }
+      .collect().toSeq.unzip3
+    val features = siteFeatures.flatten.toIndexedSeq
     val lpmTimeMs = (System.nanoTime() - t1) / 1000000
 
-    // -- stage 3: LEC feature optimization (LO/Full) ------------------------
-    var lecTimeMs = 0L
-    var lecShipment = 0L
-    var features: IndexedSeq[LecFeature] = IndexedSeq.empty
-    var combos: LecPruning.Combos = null
-    var keptDs = lpmDs
+    // LEC pruning at the coordinator (LA joins the features while assembling)
+    val t2 = System.nanoTime()
+    lazy val combos = LecPruning.combos(q, features)
+    val surviving = if (prune) Some(combos.surviving.map(features)) else None
+    val lecTimeMs = (System.nanoTime() - t2) / 1000000
 
-    def collectFeatures(): IndexedSeq[LecFeature] =
-      lpmDs.map(LecFeature.of).distinct().collect().toIndexedSeq
-
-    if (opt == OptLevel.LO || opt == OptLevel.Full) {
-      val t2 = System.nanoTime()
-      features = collectFeatures()
-      // only LO/Full actually ship features between sites (LA derives them
-      // from the LPMs already at the coordinator — no extra communication)
-      lecShipment = features.map(_.byteSize(q.n)).sum
-      combos = LecPruning.combos(q, features)
-      val surviving: Set[LecFeature] = combos.surviving.map(features)
-      val survB = spark.sparkContext.broadcast(surviving)
-      keptDs = lpmDs.filter(pm => survB.value.contains(LecFeature.of(pm)))
-      lecTimeMs = (System.nanoTime() - t2) / 1000000
-    }
-
-    // -- stage 4: assembly at the coordinator -------------------------------
+    // round 3: fetch the surviving LPMs (all of them without pruning) and
+    // assemble them at the coordinator
     val t3 = System.nanoTime()
-    val collected = keptDs.collect().toIndexedSeq
-    val (crossMatches, asmStats) = opt match {
-      case OptLevel.Basic =>
-        Assembly.basic(q, collected, basicBudget)
-      case _ =>
-        if (combos == null) { // LA: features + combos computed during assembly
-          features = collectFeatures()
-          combos = LecPruning.combos(q, features)
-        }
-        Assembly.lec(q, collected, features, combos)
-    }
-    val localMatches = completeLocal.collect().toVector.map(_.bind.toVector)
-    val varIdx = (0 until q.n).filter(q.vertices(_).isVar)
-    val allMatches = (crossMatches ++ localMatches).map(b => varIdx.map(b)).distinct
-    val crossDistinct = crossMatches.map(b => varIdx.map(b)).distinct
+    val fetched =
+      if (features.isEmpty || surviving.exists(_.isEmpty)) IndexedSeq.empty
+      else {
+        val keep = dg.spark.sparkContext.broadcast(surviving)
+        sites.flatMap(_._1.filter(pm => keep.value.forall(_(LecFeature.of(pm))))).collect().toIndexedSeq
+      }
+    sites.unpersist()
+    val (crossMatches, asmStats) =
+      if (lecAssembly) Assembly.lec(q, fetched, features, combos)
+      else Assembly.basic(q, fetched, basicBudget)
+    val crossing = crossMatches.map(project(q)).distinct
+    val rows = (crossing ++ locals.flatten.map(project(q))).distinct
     val assemblyTimeMs = (System.nanoTime() - t3) / 1000000
 
-    // core.variables == query.variables (folding drops no variables)
-    val schema = StructType(core.variables.map(v => StructField(v, LongType, nullable = false)))
-    val df = spark.createDataFrame(
-      spark.sparkContext.parallelize(
-        allMatches.map(m => Row.fromSeq(m)),
-        math.max(1, spark.sparkContext.defaultParallelism / 4)),
-      schema,
-    )
-    all.unpersist()
-
-    QueryResult(
-      df,
-      Stats(
-        candTimeMs = cand.timeMs,
-        candShipmentBytes = cand.shipmentBytes,
-        lpmTimeMs = lpmTimeMs,
-        lecTimeMs = lecTimeMs,
-        lecShipmentBytes = lecShipment,
-        assemblyTimeMs = assemblyTimeMs,
-        numLpms = numLpms,
-        numLpmsKept = collected.size,
-        numFeatures = features.size,
-        numMatches = allMatches.size,
-        numCrossingMatches = crossDistinct.size,
-        asmPairTests = asmStats.pairTests,
-        asmDnf = asmStats.dnf,
-      ),
-    )
+    (rows, Stats(
+      candTimeMs = cand.timeMs,
+      candShipmentBytes = cand.shipmentBytes,
+      lpmTimeMs = lpmTimeMs,
+      lecTimeMs = lecTimeMs,
+      // only LO/Full ship features between sites; LA derives them from the
+      // LPMs already at the coordinator
+      lecShipmentBytes = if (prune) features.map(_.byteSize(q.n)).sum else 0L,
+      assemblyTimeMs = assemblyTimeMs,
+      numLpms = lpmCounts.sum,
+      numLpmsKept = fetched.size,
+      numFeatures = if (lecAssembly) features.size else 0,
+      numMatches = rows.size,
+      numCrossingMatches = crossing.size,
+      asmPairTests = asmStats.pairTests,
+      asmDnf = asmStats.dnf,
+    ))
   }
 }

@@ -23,11 +23,17 @@ final case class LecFeature(frag: Int, g: Seq[Cross], sign: Long) {
 }
 
 object LecFeature {
+  import scala.math.Ordering.Implicits.seqOrdering
 
   /** Alg. 1 on one LPM — a linear scan of its crossing-edge mappings.
     * (`PMRow.cross` is already the `(data edge, query edge)` mapping list
     * and `PMRow.sign` the LECSign, so extraction is a projection; the
-    * set-level dedup of Alg. 1 line 15 happens via `Dataset.distinct`.)
+    * set-level dedup of Alg. 1 line 15 happens at each site, and a feature
+    * carries its fragment, so the sites' sets are disjoint.)
     */
   def of(pm: PMRow): LecFeature = LecFeature(pm.frag, pm.cross, pm.sign)
+
+  /** A total order: `frag`, then `sign`, then `g` lexicographically. */
+  implicit val order: Ordering[LecFeature] =
+    Ordering.by((f: LecFeature) => (f.frag, f.sign, f.g.map(c => (c.edge, c.su, c.p, c.ou))))
 }

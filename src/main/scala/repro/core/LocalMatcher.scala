@@ -18,7 +18,7 @@ import scala.collection.mutable
   * Equivalence with a literal brute-force check of Def. 5's six conditions
   * is asserted by `LocalMatcherSpec`.
   *
-  * This runs inside `Dataset.groupByKey(_.frag).flatMapGroups`, i.e. one
+  * `GStoreD` runs it through `DistributedGraph.perSite`, i.e. one
   * invocation per fragment, in parallel across Spark tasks — the paper's
   * per-site partial evaluation stage.
   */

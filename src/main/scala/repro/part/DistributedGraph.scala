@@ -1,8 +1,10 @@
 package repro.part
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.rdf.RdfGraph
+import scala.reflect.ClassTag
 
 /** One stored triple of a fragment: `frag` hosts it, `sFrag`/`oFrag` are the
   * owner fragments of its endpoints. A crossing edge (`sFrag != oFrag`)
@@ -14,7 +16,8 @@ final case class FragTriple(frag: Int, s: Long, p: Long, o: Long, sFrag: Int, oF
 
 /** A distributed RDF graph (Def. 1): the triple set exploded into per-
   * fragment stores with crossing-edge replicas, as a typed Dataset built
-  * with DataFrame joins against the vertex-owner table.
+  * with DataFrame joins against the vertex-owner table. Queries reach the
+  * fragments only through [[perSite]].
   */
 final class DistributedGraph(
     val spark: SparkSession,
@@ -26,6 +29,13 @@ final class DistributedGraph(
 ) extends Serializable {
 
   import spark.implicits._
+
+  /** Runs `f` once per site — a fragment id and the triples it stores — in
+    * one Spark task each (site `i` is partition `i`). Nothing runs until an
+    * action on the result; computing it regroups the fragment store.
+    */
+  def perSite[A: ClassTag](f: (Int, Vector[FragTriple]) => A): RDD[A] =
+    fragTriples.rdd.groupBy(_.frag, k).map { case (frag, ts) => f(frag, ts.toVector) }
 
   /** |E_i ∪ E_i^c| per fragment (stored edges, incl. replicas). */
   lazy val storedEdgesPerFrag: Map[Int, Long] =

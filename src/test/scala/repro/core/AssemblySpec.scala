@@ -120,4 +120,47 @@ class AssemblySpec extends AnyFunSuite {
       }
     }
   }
+
+  /** Assembly with `features` in the order `perm` and the LPMs shuffled:
+    * the matches as a set and the pair-test count.
+    */
+  private def permuted(rng: Random, q: EncodedQuery, pms: IndexedSeq[PMRow],
+      features: IndexedSeq[LecFeature], combos: LecPruning.Combos): (Set[Vector[Long]], Long) = {
+    val perm = rng.shuffle(features.indices.toVector)
+    val newIdx = perm.zipWithIndex.toMap
+    val shuffled = combos.copy(complete = combos.complete.map(_.map(newIdx).sorted))
+    val (m, st) = Assembly.lec(q, rng.shuffle(pms), perm.map(features), shuffled)
+    (m.toSet, st.pairTests)
+  }
+
+  test("matches and pair tests do not depend on the order of features and LPMs") {
+    var withPairs = 0
+    for (seed <- 0 until 40) {
+      val rng = new Random(300 + seed)
+      val g = TestGraphs.randomGraph(rng, 9, 20, 2)
+      val owners = TestGraphs.randomOwners(rng, g, 3)
+      TestGraphs.randomQuery(rng, g, 2).encode(g.dict).foreach { q =>
+        val pms = pmsOf(g, owners, q)
+        val features = pms.map(LecFeature.of).distinct
+        val combos = LecPruning.combos(q, features)
+        val (m, st) = Assembly.lec(q, pms, features, combos)
+        if (st.pairTests > 0) withPairs += 1
+        for (_ <- 0 until 4) assert(permuted(rng, q, pms, features, combos) == ((m.toSet, st.pairTests)), s"seed $seed")
+      }
+    }
+    assert(withPairs >= 10)
+
+    // equal-size buckets whose join fails part-way: 1 test in the order
+    // (a, b, c), 2 in (a, c, b) — the feature order decides
+    val q = QueryGraph.of("?x p ?y", "?y p ?z").encode(RdfGraph.fromStrings(Seq(("a", "p", "b"))).dict).get
+    val pms = IndexedSeq(
+      PMRow(0, Vector(1L, -1L, -1L), 1L, Vector(Cross(0, 1, 9, 2))),
+      PMRow(1, Vector(3L, 2L, -1L), 2L, Vector(Cross(0, 1, 9, 2))),
+      PMRow(2, Vector(-1L, -1L, 4L), 4L, Vector(Cross(1, 2, 9, 4))))
+    val features = pms.map(LecFeature.of)
+    val combos = LecPruning.Combos(Vector(Vector(0, 1, 2)), Set(0, 1, 2), LecPruning.Stats())
+    val want = Assembly.lec(q, pms, features, combos)._2.pairTests
+    val rng = new Random(7)
+    for (_ <- 0 until 12) assert(permuted(rng, q, pms, features, combos) == ((Set.empty[Vector[Long]], want)))
+  }
 }

@@ -141,6 +141,38 @@ class GStoreDSpec extends SparkSpec {
     }
   }
 
+  // --- folded stars: leaf constraints are checked at the coordinator ---------
+  private def lubmOracle(dg: DistributedGraph, rows: Int, patterns: String*): Unit = {
+    val w = workloads.head
+    val q = QueryGraph.of(patterns: _*)
+    val res = GStoreD.evaluate(dg, q)
+    assert(res.stats.starFastPath)
+    Oracle.assertEquivalent(res.matches, BgpSql.sql(q, w.graph.dict).get, "triples" -> w.graph.df(spark))
+    assert(res.matches.count() == rows)
+  }
+
+  test("a folded star with a constraint on a constant leaf matches the DuckDB oracle") {
+    import repro.rdf.LubmData._
+    lubmOracle(dgsFolded("LUBM"), 7, s"?x $worksFor ${dept(0, 0)}", s"${dept(0, 0)} $ptype $Department")
+  }
+
+  test("a folded star with a constraint on a variable leaf matches the DuckDB oracle") {
+    import repro.rdf.LubmData._
+    lubmOracle(dgsFolded("LUBM"), 1206, s"?x $memberOf ?d", s"?x $takesCourse ?c", s"?d $ptype $Department")
+  }
+
+  // --- a core that folding disconnects is rejected --------------------------
+  test("a core disconnected by folding is rejected; unfolded it matches the DuckDB oracle") {
+    import repro.rdf.LubmData._
+    val w = workloads.head
+    val q = QueryGraph.of(s"?x $memberOf ?d", s"?x $ptype $GraduateStudent",
+      s"?y $ptype $GraduateStudent", s"?y $advisor ?p")
+    assertThrows[UnsupportedOperationException](GStoreD.evaluate(dgsFolded("LUBM"), q))
+    val res = GStoreD.evaluate(dgs("LUBM"), q)
+    Oracle.assertEquivalent(res.matches, BgpSql.sql(q, w.graph.dict).get, "triples" -> w.graph.df(spark))
+    assert(res.matches.count() == 57600)
+  }
+
   test("LQ3 is empty but exercises the full pipeline") {
     val w = workloads.head
     val (_, q, _) = w.queries.find(_._1 == "LQ3").get
