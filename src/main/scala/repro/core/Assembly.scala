@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.Arrays
 import scala.collection.mutable
 
 /** §V — assembling local partial matches at the coordinator.
@@ -9,7 +10,9 @@ import scala.collection.mutable
   * [[LecPruning.combos]] (Thm. 4) drive the joins, so only LPM tuples whose
   * features provably reach an all-ones LECSign are ever merged, and the
   * per-pair joinability test collapses to a binding-consistency check
-  * (Thms. 2–3).
+  * (Thms. 2–3). LPM bindings sit in one flat array per feature, and each
+  * combination is joined as a nested loop over those arrays, in an order
+  * fixed once for all combinations.
   *
   * [[basic]] is the VLDBJ'16-style baseline: a worklist join directly over
   * local partial matches, with every pairwise test paying the full
@@ -37,47 +40,76 @@ object Assembly {
       features: IndexedSeq[LecFeature],
       combos: LecPruning.Combos,
   ): (Vector[Vector[Long]], Stats) = {
-    val featId = features.zipWithIndex.toMap
-    val byFeature = pms.groupBy(pm => featId(LecFeature.of(pm))).withDefaultValue(IndexedSeq.empty)
+    val n = q.n
+    val nf = features.size
+    // bucket f: the bindings of feature f's LPMs, one after another (n each)
+    val featId = features.iterator.zipWithIndex.toMap
+    val ofPm = pms.iterator.map(pm => featId(LecFeature.of(pm))).toArray
+    val size = new Array[Int](nf)
+    ofPm.foreach(size(_) += 1)
+    val buckets = Array.tabulate(nf)(f => new Array[Long](size(f) * n))
+    val filled = new Array[Int](nf)
+    for (i <- pms.indices) {
+      val f = ofPm(i)
+      pms(i).bind.copyToArray(buckets(f), filled(f) * n)
+      filled(f) += 1
+    }
+    // join order: smallest buckets first keeps intermediate products minimal;
+    // ties go by feature, so the order does not depend on `features`' order
+    val rank = new Array[Int](nf)
+    (0 until nf).sortBy(f => (size(f), features(f))).zipWithIndex.foreach { case (f, r) => rank(f) = r }
+
     var pairTests = 0L
     val matches = Vector.newBuilder[Vector[Long]]
     var nMatches = 0
-
-    def merge(a: Array[Long], b: Seq[Long]): Array[Long] = {
-      val out = new Array[Long](a.length)
-      var i = 0
-      while (i < a.length) {
-        val x = a(i); val y = b(i)
-        if (x >= 0 && y >= 0 && x != y) return null
-        out(i) = math.max(x, y)
-        i += 1
-      }
-      out
-    }
+    // two scratch buffers of partial matches (n longs each), read one, write the other
+    val scratch = Array(new Array[Long](64 * n), new Array[Long](64 * n))
 
     combos.complete.foreach { combo =>
-      // smallest buckets first keeps intermediate products minimal; ties go
-      // by feature, so the join order does not depend on `features`' order
-      val buckets = combo.sortBy(f => (byFeature(f).size, features(f))).map(byFeature)
-      if (buckets.forall(_.nonEmpty)) {
-        var items: Vector[Array[Long]] = buckets.head.iterator.map(_.bind.toArray).toVector
-        buckets.tail.foreach { bucket =>
-          if (items.nonEmpty) {
-            val next = Vector.newBuilder[Array[Long]]
-            items.foreach { it =>
-              bucket.foreach { pm =>
-                pairTests += 1
-                val m = merge(it, pm.bind)
-                if (m != null) next += m
-              }
+      val order = combo.toArray
+      var a = 1
+      while (a < order.length) { // insertion sort by rank
+        val f = order(a); var b = a - 1
+        while (b >= 0 && rank(order(b)) > rank(f)) { order(b + 1) = order(b); b -= 1 }
+        order(b + 1) = f; a += 1
+      }
+      if (order.forall(size(_) > 0)) {
+        var items = buckets(order(0)); var count = size(order(0))
+        var w = 0; var k = 1
+        while (k < order.length && count > 0) {
+          val bucket = buckets(order(k)); val bn = size(order(k))
+          var out = scratch(w); var next = 0
+          var i = 0
+          while (i < count) {
+            var j = 0
+            while (j < bn) {
+              pairTests += 1
+              if (out.length < (next + 1) * n) { out = Arrays.copyOf(out, 2 * out.length); scratch(w) = out }
+              if (merge(items, i * n, bucket, j * n, out, next * n, n)) next += 1
+              j += 1
             }
-            items = next.result()
+            i += 1
           }
+          items = out; count = next; w ^= 1; k += 1
         }
-        items.foreach { m => matches += m.toVector; nMatches += 1 }
+        for (i <- 0 until count) { matches += Vector.tabulate(n)(x => items(i * n + x)); nMatches += 1 }
       }
     }
     (matches.result(), Stats(pairTests, combos.stats.joinTests, nMatches))
+  }
+
+  /** Merges bindings `a(ai until ai+n)` and `b(bi until bi+n)` into `out`
+    * from `oi`; false when a vertex is bound to two different data vertices.
+    */
+  private def merge(a: Array[Long], ai: Int, b: Array[Long], bi: Int, out: Array[Long], oi: Int, n: Int): Boolean = {
+    var x = 0
+    while (x < n) {
+      val u = a(ai + x); val v = b(bi + x)
+      if (u >= 0 && v >= 0 && u != v) return false
+      out(oi + x) = math.max(u, v)
+      x += 1
+    }
+    true
   }
 
   /** Basic (no-LEC) assembly baseline: worklist join over raw LPMs with

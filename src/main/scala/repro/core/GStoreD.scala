@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.part.DistributedGraph
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Optimization levels matching the §VIII-C ablation:
@@ -126,8 +127,10 @@ object GStoreD {
   }
 
   /** A match's values of the variables of `q`, in vertex order. */
-  private def project(q: EncodedQuery)(m: Seq[Long]): Vector[Long] =
-    (0 until q.n).iterator.filter(q.vertices(_).isVar).map(m).toVector
+  private def project(q: EncodedQuery): Seq[Long] => Vector[Long] = {
+    val vars = (0 until q.n).filter(q.vertices(_).isVar)
+    m => vars.iterator.map(m).toVector
+  }
 
   /** §VIII-B: one round of [[StarMatcher]], no LPMs, no communication. */
   private def star(dg: DistributedGraph, q: EncodedQuery, center: Int): (Seq[Vector[Long]], Stats) = {
@@ -170,7 +173,9 @@ object GStoreD {
     // LEC pruning at the coordinator (LA joins the features while assembling)
     val t2 = System.nanoTime()
     lazy val combos = LecPruning.combos(q, features)
-    val surviving = if (prune) Some(combos.surviving.map(features)) else None
+    // when nothing is pruned the fetch keeps every LPM, as without pruning
+    val surviving =
+      if (prune && combos.surviving.size < features.size) Some(combos.surviving.map(features)) else None
     val lecTimeMs = (System.nanoTime() - t2) / 1000000
 
     // round 3: fetch the surviving LPMs (all of them without pruning) and
@@ -186,8 +191,11 @@ object GStoreD {
     val (crossMatches, asmStats) =
       if (lecAssembly) Assembly.lec(q, fetched, features, combos)
       else Assembly.basic(q, fetched, basicBudget)
-    val crossing = crossMatches.map(project(q)).distinct
-    val rows = (crossing ++ locals.flatten.map(project(q))).distinct
+    // one hash-set pass; the crossing matches go in first, to be counted
+    val proj = project(q)
+    val distinct = mutable.LinkedHashSet.from(crossMatches.iterator.map(proj))
+    val numCrossing = distinct.size
+    val rows = (distinct ++= locals.iterator.flatten.map(proj)).toVector
     val assemblyTimeMs = (System.nanoTime() - t3) / 1000000
 
     (rows, Stats(
@@ -203,7 +211,7 @@ object GStoreD {
       numLpmsKept = fetched.size,
       numFeatures = if (lecAssembly) features.size else 0,
       numMatches = rows.size,
-      numCrossingMatches = crossing.size,
+      numCrossingMatches = numCrossing,
       asmPairTests = asmStats.pairTests,
       asmDnf = asmStats.dnf,
     ))

@@ -1,6 +1,8 @@
 package repro.core
 
+import java.util.Arrays
 import scala.collection.mutable
+import scala.util.hashing.MurmurHash3
 
 /** §IV-C / Alg. 2 — coordinator-side join of LEC features.
   *
@@ -11,8 +13,8 @@ import scala.collection.mutable
   * The paper's DFS over the LECSign-group join graph is realized as a
   * worklist search over feature combinations with global member-set
   * deduplication — each combination is visited exactly once, and extension
-  * candidates come from a crossing-edge hash index, so only features
-  * sharing a crossing-edge mapping (Def. 9 condition 2) are ever paired.
+  * candidates come from a crossing-edge index, so only features sharing a
+  * crossing-edge mapping (Def. 9 condition 2) are ever paired.
   * Def. 9's remaining conditions are enforced on each extension:
   * condition 1 (different fragments) is implied — two features from the
   * same fragment sharing a crossing edge would both mark the edge's
@@ -22,6 +24,11 @@ import scala.collection.mutable
   * the sign-disjointness test. Multi-way joins only require the new
   * feature to be joinable with the *accumulated* combination (Thm. 4), so
   * two same-fragment features may both participate through a third.
+  *
+  * The search runs on primitive state: each distinct `Cross` is interned to
+  * an `Int` once, and a combination is its sorted member array, its sign,
+  * the interned cross on each query edge and the data vertex bound to each
+  * query vertex by a cross endpoint — flat arrays that an extension copies.
   */
 object LecPruning {
 
@@ -40,12 +47,47 @@ object LecPruning {
       stats: Stats,
   )
 
-  private final case class State(
-      members: Vector[Int], // sorted feature indices
-      sign: Long,
-      cross: Map[Int, Cross], // query-edge idx -> data crossing edge
-      vbind: Map[Int, Long], // query-vertex idx -> data vertex (cross endpoints)
+  /** A feature combination; `-1` marks a query edge without a crossing edge
+    * and a query vertex without a binding.
+    */
+  private final class State(
+      val members: Array[Int], // sorted feature indices
+      val sign: Long,
+      val crossAt: Array[Int], // query edge -> interned crossing edge
+      val vb: Array[Long], // query vertex -> data vertex (cross endpoints)
   )
+
+  /** An exact set of member arrays: open addressing on each array's hash,
+    * `Arrays.equals` on equal hashes.
+    */
+  private final class MemberSet {
+    private var keys = new Array[Array[Int]](1 << 10)
+    private var hashes = new Array[Int](1 << 10)
+    private var size = 0
+
+    /** Adds `m`; false when an equal array is already present. */
+    def add(m: Array[Int]): Boolean = {
+      val h = MurmurHash3.arrayHash(m)
+      var i = h & (keys.length - 1)
+      while (keys(i) != null) {
+        if (hashes(i) == h && Arrays.equals(keys(i), m)) return false
+        i = (i + 1) & (keys.length - 1)
+      }
+      keys(i) = m; hashes(i) = h; size += 1
+      if (2 * size > keys.length) grow()
+      true
+    }
+
+    private def grow(): Unit = {
+      val (oldKeys, oldHashes) = (keys, hashes)
+      keys = new Array[Array[Int]](2 * oldKeys.length); hashes = new Array[Int](keys.length)
+      for (j <- oldKeys.indices if oldKeys(j) != null) {
+        var i = oldHashes(j) & (keys.length - 1)
+        while (keys(i) != null) i = (i + 1) & (keys.length - 1)
+        keys(i) = oldKeys(j); hashes(i) = oldHashes(j)
+      }
+    }
+  }
 
   /** Pairwise Def.-9 joinability (used by tests; the search inlines it). */
   def joinable(q: EncodedQuery, a: LecFeature, b: LecFeature): Boolean = {
@@ -68,71 +110,120 @@ object LecPruning {
   def combos(q: EncodedQuery, features: IndexedSeq[LecFeature], maxStates: Long = 20_000_000L): Combos = {
     val stats = Stats()
     val full = q.fullMask
+    val nf = features.size
 
-    // crossing-edge hash index: identical Cross -> features containing it
-    val crossIdx = mutable.HashMap.empty[Cross, mutable.ArrayBuffer[Int]]
-    features.zipWithIndex.foreach { case (f, i) =>
-      f.g.foreach(c => crossIdx.getOrElseUpdate(c, mutable.ArrayBuffer.empty) += i)
+    // per feature: sign, interned crossing edges, cross-endpoint bindings
+    val internId = mutable.HashMap.empty[Cross, Int]
+    val edgeOf = mutable.ArrayBuffer.empty[Int] // interned cross -> query edge
+    val sign = features.iterator.map(_.sign).toArray
+    val crosses = features.iterator.map(_.g.iterator.map { c =>
+      internId.getOrElseUpdate(c, { edgeOf += c.edge; edgeOf.size - 1 })
+    }.toArray).toArray
+    val (bindV, bindD) = features.iterator.map { f =>
+      val b = f.crossBindings(q); (b.keys.toArray, b.values.toArray)
+    }.toArray.unzip
+
+    // crossing-edge index: interned cross -> features containing it
+    val byCross = {
+      val idx = Array.fill(edgeOf.size)(mutable.ArrayBuilder.make[Int])
+      for (i <- 0 until nf; c <- crosses(i)) idx(c) += i
+      idx.map(_.result())
     }
 
-    val seen = mutable.HashSet.empty[Vector[Int]]
+    // the state `st` plus feature j, whose members are `members`
+    def extend(st: State, j: Int, members: Array[Int]): State = {
+      val crossAt = st.crossAt.clone()
+      crosses(j).foreach(c => crossAt(edgeOf(c)) = c)
+      val vb = st.vb.clone()
+      for (k <- bindV(j).indices) vb(bindV(j)(k)) = bindD(j)(k)
+      new State(members, st.sign | sign(j), crossAt, vb)
+    }
+    val empty = new State(Array.emptyIntArray, 0L, Array.fill(q.edges.size)(-1), Array.fill(q.n)(-1L))
+
+    val seen = new MemberSet
     val complete = Vector.newBuilder[Vector[Int]]
-    val surviving = mutable.HashSet.empty[Int]
+    val surviving = new Array[Boolean](nf)
     val stack = mutable.Stack.empty[State]
 
-    features.zipWithIndex.foreach { case (f, i) =>
-      if (f.sign == full) {
+    for (i <- 0 until nf) {
+      if (sign(i) == full) {
         // cannot happen for true LPMs (they have >=1 extended vertex), but
         // keep the engine total for robustness
-        complete += Vector(i); surviving += i
-      } else if (seen.add(Vector(i))) {
-        stack.push(State(Vector(i), f.sign, f.g.map(c => c.edge -> c).toMap, f.crossBindings(q)))
-      }
+        complete += Vector(i); surviving(i) = true
+      } else stack.push(extend(empty, i, Array(i))) // extensions never revisit a singleton
     }
 
-    def tryExtend(st: State, j: Int): Option[State] = {
-      stats.joinTests += 1
-      val f = features(j)
-      if ((st.sign & f.sign) != 0) return None
-      // crossing-edge consistency (Def. 9 conditions 2+3)
-      f.g.foreach { c =>
-        st.cross.get(c.edge) match {
-          case Some(sc) if sc != c => return None
-          case _                   =>
-        }
+    // Def. 9 conditions 2+3 against the accumulated combination
+    def consistent(st: State, j: Int): Boolean = {
+      val cs = crosses(j)
+      var k = 0
+      while (k < cs.length) {
+        val at = st.crossAt(edgeOf(cs(k)))
+        if (at >= 0 && at != cs(k)) return false
+        k += 1
       }
-      val fb = f.crossBindings(q)
-      fb.foreach { case (v, d) => if (st.vbind.get(v).exists(_ != d)) return None }
-      val members = (st.members :+ j).sorted
-      Some(State(members, st.sign | f.sign, st.cross ++ f.g.map(c => c.edge -> c), st.vbind ++ fb))
+      val vs = bindV(j); val ds = bindD(j)
+      k = 0
+      while (k < vs.length) {
+        val b = st.vb(vs(k))
+        if (b >= 0 && b != ds(k)) return false
+        k += 1
+      }
+      true
     }
+
+    // extension candidates of the current state: stamping its members first
+    // excludes them, stamping each candidate deduplicates
+    val stamp = Array.fill(nf)(-1L)
+    val cands = new Array[Int](nf)
 
     while (stack.nonEmpty) {
       val st = stack.pop()
       stats.statesExplored += 1
       if (stats.statesExplored > maxStates)
         throw new IllegalStateException(s"LEC feature join blowup: > $maxStates states")
-      // extension candidates: features sharing one of the state's crossing
-      // edges (sign-disjointness pre-filtered — it kills most candidates)
-      val cands = mutable.HashSet.empty[Int]
-      st.cross.valuesIterator.foreach { c =>
-        crossIdx.get(c).foreach(_.foreach { j =>
-          if ((features(j).sign & st.sign) == 0 && !st.members.contains(j)) cands += j
-        })
-      }
-      cands.foreach { j =>
-        tryExtend(st, j).foreach { nx =>
-          if (seen.add(nx.members)) {
-            if (nx.sign == full) {
-              stats.completeCombos += 1
-              complete += nx.members
-              nx.members.foreach(surviving += _)
-            } else stack.push(nx)
+      // features sharing one of the state's crossing edges (sign-disjointness
+      // pre-filtered — it kills most candidates)
+      st.members.foreach(stamp(_) = stats.statesExplored)
+      var nc = 0
+      var e = 0
+      while (e < st.crossAt.length) {
+        if (st.crossAt(e) >= 0) {
+          val js = byCross(st.crossAt(e))
+          var k = 0
+          while (k < js.length) {
+            val j = js(k)
+            if (stamp(j) != stats.statesExplored && (sign(j) & st.sign) == 0) {
+              stamp(j) = stats.statesExplored; cands(nc) = j; nc += 1
+            }
+            k += 1
           }
         }
+        e += 1
+      }
+      var ci = 0
+      while (ci < nc) {
+        val j = cands(ci)
+        stats.joinTests += 1
+        if (consistent(st, j)) {
+          val m = st.members
+          val pos = -Arrays.binarySearch(m, j) - 1
+          val members = new Array[Int](m.length + 1)
+          System.arraycopy(m, 0, members, 0, pos)
+          members(pos) = j
+          System.arraycopy(m, pos, members, pos + 1, m.length - pos)
+          if (seen.add(members)) {
+            if ((st.sign | sign(j)) == full) {
+              stats.completeCombos += 1
+              complete += members.toVector
+              members.foreach(surviving(_) = true)
+            } else stack.push(extend(st, j, members))
+          }
+        }
+        ci += 1
       }
     }
 
-    Combos(complete.result(), surviving.toSet, stats)
+    Combos(complete.result(), (0 until nf).filter(surviving).toSet, stats)
   }
 }
